@@ -3,7 +3,7 @@
 
 RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal
 
-.PHONY: verify build test vet race bench bench-smoke chaos-smoke drain-smoke advisory
+.PHONY: verify build test vet race bench bench-smoke chaos-smoke drain-smoke perfbench-check advisory
 
 verify: build test vet race
 
@@ -41,6 +41,14 @@ chaos-smoke:
 drain-smoke:
 	go test -race -run 'TestLimiter|TestAdmi|TestCancelled|TestOverload|TestDrain|TestGetContext|TestCloseRejects|TestExporterFlush' ./internal/core ./internal/store ./internal/journal ./internal/obs
 	go test -race -tags drainsmoke -run TestSIGTERMGracefulDrain ./cmd/segshare-server
+
+# Vet and unit-test the benchmark module (perfbench/, its own Go module
+# importing the repository through a replace directive, so the root
+# `go test ./...` does not cover it). Runs offline in about 25 s. Mirrors
+# the perfbench CI job.
+perfbench-check:
+	go -C perfbench vet ./...
+	go -C perfbench test ./...
 
 # Advisory static analysis — mirrors the non-blocking CI job. Needs
 # network access to fetch the tools; failures here never gate a merge.

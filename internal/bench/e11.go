@@ -5,8 +5,9 @@ import (
 )
 
 // E11 — crash-consistency journal overhead (DESIGN.md §11). Every
-// mutation now stages its blob writes, seals them into one intent record,
-// and pays one extra sealed write (plus one delete) to the group store.
+// mutation stages its blob writes and commits them as one sealed intent
+// record (bodies of 256 KiB and more by reference to a staging object),
+// paying one extra record write plus one delete to the group store.
 // This experiment measures what that costs on the PUT path, for creates
 // and updates across content sizes, by running the identical workload
 // with the journal on and off.

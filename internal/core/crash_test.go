@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -221,7 +222,10 @@ func auditDedupRefcounts(t *testing.T, fx *crashFixture) {
 
 type crashScenario struct {
 	name string
-	run  func(fx *crashFixture) error
+	// setup, when set, runs after the seed corpus and before the
+	// schedule is armed; its mutations are not crash points.
+	setup func(fx *crashFixture) error
+	run   func(fx *crashFixture) error
 	// check asserts the scenario's atomicity postcondition after a
 	// recovered restart: the operation either fully happened or did not
 	// happen at all.
@@ -329,6 +333,118 @@ func crashScenarios() []crashScenario {
 	}
 }
 
+// Bodies above byRefThreshold, so their writes are journaled by
+// reference (sealed into a staging object, promoted on apply).
+var (
+	crashLargeV1 = bytes.Repeat([]byte("large v1 "), byRefThreshold/9+512)
+	crashLargeV2 = bytes.Repeat([]byte("large v2 "), byRefThreshold/9+1024)
+)
+
+// largeCrashScenarios exercise by-reference writes. Run them with dedup
+// off: with dedup on, a content leaf is only a small indirection.
+func largeCrashScenarios() []crashScenario {
+	putV1 := func(fx *crashFixture) error {
+		_, err := fx.ac.PutFile("alice", fx.path("/docs/big.bin"), crashLargeV1)
+		return err
+	}
+	return []crashScenario{
+		{
+			name: "put-create-large",
+			run:  putV1,
+			check: func(t *testing.T, fx *crashFixture) {
+				if ok, data := fileState(t, fx, "/docs/big.bin"); ok && !bytes.Equal(data, crashLargeV1) {
+					t.Fatalf("partial large create: %d bytes", len(data))
+				}
+			},
+		},
+		{
+			name:  "put-update-large",
+			setup: putV1,
+			run: func(fx *crashFixture) error {
+				_, err := fx.ac.PutFile("alice", fx.path("/docs/big.bin"), crashLargeV2)
+				return err
+			},
+			check: func(t *testing.T, fx *crashFixture) {
+				ok, data := fileState(t, fx, "/docs/big.bin")
+				if !ok {
+					t.Fatal("large update lost the file")
+				}
+				if !bytes.Equal(data, crashLargeV1) && !bytes.Equal(data, crashLargeV2) {
+					t.Fatalf("torn large update: %d bytes", len(data))
+				}
+			},
+		},
+		{
+			name:  "move-large",
+			setup: putV1,
+			run: func(fx *crashFixture) error {
+				return fx.ac.Move("alice", fx.path("/docs/big.bin"), fx.path("/docs/sub/big.bin"))
+			},
+			check: func(t *testing.T, fx *crashFixture) {
+				srcOK, src := fileState(t, fx, "/docs/big.bin")
+				dstOK, dst := fileState(t, fx, "/docs/sub/big.bin")
+				if srcOK == dstOK {
+					t.Fatalf("large move atomicity: src=%v dst=%v", srcOK, dstOK)
+				}
+				if !bytes.Equal(src, crashLargeV1) && !bytes.Equal(dst, crashLargeV1) {
+					t.Fatal("large move changed the content")
+				}
+			},
+		},
+	}
+}
+
+// sweepCrashPoints dry-runs sc once to learn how many backend mutations
+// it performs, then replays it on a fresh fixture once per mutation and
+// failure mode (kill=false: one transient fault; kill=true: every
+// mutation fails until restart). After each schedule the process
+// restarts, and the recovered store must pass the full fsck, the dedup
+// refcount audit and sc.check.
+func sweepCrashPoints(t *testing.T, opts fmOptions, sc crashScenario, kills []bool) {
+	t.Helper()
+	prepare := func() *crashFixture {
+		fx := newCrashFixture(t, opts, true)
+		seedCorpus(t, fx)
+		if sc.setup != nil {
+			if err := sc.setup(fx); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+		}
+		return fx
+	}
+	dry := prepare()
+	before := dry.plan.Ops()
+	if err := sc.run(dry); err != nil {
+		t.Fatalf("dry run: %v", err)
+	}
+	mutations := dry.plan.Ops() - before
+	if mutations == 0 {
+		t.Fatal("scenario performs no backend mutations")
+	}
+	for k := 1; k <= mutations; k++ {
+		for _, kill := range kills {
+			label := fmt.Sprintf("op%d/kill=%v", k, kill)
+			fx := prepare()
+			if kill {
+				fx.plan.KillAtOp(k, errInjected)
+			} else {
+				fx.plan.FailAtOp(k, errInjected)
+			}
+			opErr := sc.run(fx)
+			if err := fx.restart(); err != nil {
+				t.Fatalf("%s: recovery restart failed (op err %v): %v", label, opErr, err)
+			}
+			if err := fx.fm.validateAll(); err != nil {
+				t.Fatalf("%s: fsck after recovery (op err %v): %v", label, opErr, err)
+			}
+			auditDedupRefcounts(t, fx)
+			if sc.check != nil {
+				sc.check(t, fx)
+			}
+		}
+	}
+}
+
 // TestCrashRecoveryMatrix is the tentpole acceptance test: every mutation
 // type, crashed at every backend mutation it performs, both transiently
 // and with a kill-until-restart, must recover to a store that passes the
@@ -338,70 +454,29 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	for _, sc := range crashScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			// Dry run to learn the schedule length.
-			dry := newCrashFixture(t, opts, true)
-			seedCorpus(t, dry)
-			before := dry.plan.Ops()
-			if err := sc.run(dry); err != nil {
-				t.Fatalf("dry run: %v", err)
-			}
-			mutations := dry.plan.Ops() - before
-			if mutations == 0 {
-				t.Fatal("scenario performs no backend mutations")
-			}
-			for k := 1; k <= mutations; k++ {
-				for _, kill := range []bool{false, true} {
-					label := fmt.Sprintf("op%d/kill=%v", k, kill)
-					fx := newCrashFixture(t, opts, true)
-					seedCorpus(t, fx)
-					if kill {
-						fx.plan.KillAtOp(k, errInjected)
-					} else {
-						fx.plan.FailAtOp(k, errInjected)
-					}
-					opErr := sc.run(fx)
-					if err := fx.restart(); err != nil {
-						t.Fatalf("%s: recovery restart failed (op err %v): %v", label, opErr, err)
-					}
-					if err := fx.fm.validateAll(); err != nil {
-						t.Fatalf("%s: fsck after recovery (op err %v): %v", label, opErr, err)
-					}
-					auditDedupRefcounts(t, fx)
-					if sc.check != nil {
-						sc.check(t, fx)
-					}
-				}
-			}
+			sweepCrashPoints(t, opts, sc, []bool{false, true})
 		})
 	}
 }
 
 // TestCrashRecoveryAcrossFeatureCombos spot-checks the sweep's most
-// write-heavy scenario under the remaining feature combinations.
+// write-heavy scenario under the remaining feature combinations (kill
+// schedules), and sweeps the by-reference scenarios, transient and kill,
+// under every combination without dedup.
 func TestCrashRecoveryAcrossFeatureCombos(t *testing.T) {
 	sc := crashScenarios()[2] // put-update
 	for name, opts := range allOptionCombos() {
 		opts := opts
 		t.Run(name, func(t *testing.T) {
-			dry := newCrashFixture(t, opts, true)
-			seedCorpus(t, dry)
-			before := dry.plan.Ops()
-			if err := sc.run(dry); err != nil {
-				t.Fatalf("dry run: %v", err)
+			sweepCrashPoints(t, opts, sc, []bool{true})
+			if opts.dedup {
+				return
 			}
-			mutations := dry.plan.Ops() - before
-			for k := 1; k <= mutations; k++ {
-				fx := newCrashFixture(t, opts, true)
-				seedCorpus(t, fx)
-				fx.plan.KillAtOp(k, errInjected)
-				opErr := sc.run(fx)
-				if err := fx.restart(); err != nil {
-					t.Fatalf("op%d: restart (op err %v): %v", k, opErr, err)
-				}
-				if err := fx.fm.validateAll(); err != nil {
-					t.Fatalf("op%d: fsck (op err %v): %v", k, opErr, err)
-				}
-				auditDedupRefcounts(t, fx)
+			for _, large := range largeCrashScenarios() {
+				large := large
+				t.Run(large.name, func(t *testing.T) {
+					sweepCrashPoints(t, opts, large, []bool{false, true})
+				})
 			}
 		})
 	}

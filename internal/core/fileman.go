@@ -352,6 +352,12 @@ func (fm *fileManager) fileID(ns *namespace, name string) []byte {
 // putBlob writes a logical file. Inside a journaled operation the write
 // is staged into the intent (txn.go) and only hits the backend at apply
 // time; otherwise it applies directly via putBlobRaw.
+//
+// putBlob takes ownership of body: the staged intent keeps the slice
+// itself, so the caller must hand over a buffer it never touches again.
+// Every caller passes a freshly encoded body (an encode() result,
+// encodeRawBody/encodeDedupBody, or a body getBlob just returned, which is
+// never an alias of staged state).
 func (fm *fileManager) putBlob(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
 	if fm.staging() {
 		fm.tx.stagePut(ns, name, hdr, body, false)
@@ -386,15 +392,11 @@ func (fm *fileManager) putRootBlob(ns *namespace, hdr *rollback.Header, body []b
 // putBlobRaw encrypts and stores a logical file: optional rollback
 // header followed by the body, protected with the per-file key.
 func (fm *fileManager) putBlobRaw(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
-	var plain []byte
+	var hdrEnc []byte
 	if hdr != nil {
-		enc := hdr.Encode()
-		plain = make([]byte, 0, len(enc)+len(body))
-		plain = append(plain, enc...)
-		plain = append(plain, body...)
-	} else {
-		plain = body
+		hdrEnc = hdr.Encode()
 	}
+	plain := joinPlain(hdrEnc, body)
 	key, err := fm.fileKey(ns, name)
 	if err != nil {
 		return err
@@ -410,6 +412,17 @@ func (fm *fileManager) putBlobRaw(ns *namespace, name string, hdr *rollback.Head
 	}
 	fm.invalidateRel(ns, name)
 	return nil
+}
+
+// joinPlain returns the stored plaintext of a logical file: the encoded
+// rollback header (empty when the extension is off) followed by the body.
+func joinPlain(hdrEnc, body []byte) []byte {
+	if len(hdrEnc) == 0 {
+		return body
+	}
+	plain := make([]byte, 0, len(hdrEnc)+len(body))
+	plain = append(plain, hdrEnc...)
+	return append(plain, body...)
 }
 
 // getBlob loads, decrypts, and verifies a logical file, returning its
@@ -481,8 +494,11 @@ func (fm *fileManager) readHeader(ns *namespace, name string) (*rollback.Header,
 			return hdr, nil
 		}
 	}
+	if err := fm.ctxErr(); err != nil {
+		return nil, err
+	}
 	fm.rs.AddStoreOps(1)
-	raw, err := ns.backend.Get(fm.storageName(ns, name))
+	raw, err := fm.backendGet(ns, fm.storageName(ns, name))
 	if errors.Is(err, store.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -633,5 +634,21 @@ func TestHidePathsHidesGroupStoreNames(t *testing.T) {
 		if bytes.Contains([]byte(name), []byte("identifiable")) {
 			t.Fatalf("group store name leaks user id: %q", name)
 		}
+	}
+}
+
+// TestReadHeaderHonorsCancellation checks the header-only read used by
+// sibling-bucket validation stops at a cancelled request context, like
+// every other store read of a request view.
+func TestReadHeaderHonorsCancellation(t *testing.T) {
+	fx := newFMFixture(t, fmOptions{rollback: true})
+	if _, err := fx.fm.readHeader(fx.fm.content, "/"); err != nil {
+		t.Fatalf("readHeader: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	view := fx.fm.withRequest(nil, ctx)
+	if _, err := view.readHeader(view.content, "/"); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("readHeader on a cancelled view: %v, want ErrCanceled", err)
 	}
 }

@@ -474,7 +474,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 		}
 
 	case http.MethodPut:
-		content, err := io.ReadAll(r.Body)
+		content, err := readBody(r, s.maxBody)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -815,6 +815,38 @@ func parseAPIPath(raw string) (fspath.Path, error) {
 		return fspath.Path{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return p, nil
+}
+
+// errBodyLength reports a request body that does not match its
+// declared Content-Length.
+var errBodyLength = errors.New("body length does not match Content-Length")
+
+// readBody reads a PUT body. A declared Content-Length within the body
+// cap sizes one exact buffer (no growth copies on multi-MiB uploads); the
+// body must then end right there. Unknown lengths, and declared lengths
+// over the cap (which the MaxBytesReader rejects as it reads), fall back
+// to io.ReadAll.
+func readBody(r *http.Request, maxBody int64) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 || (maxBody > 0 && n > maxBody) {
+		return io.ReadAll(r.Body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
+		if err == io.EOF {
+			err = errBodyLength
+		}
+		return nil, err
+	}
+	var probe [1]byte
+	switch _, err := io.ReadFull(r.Body, probe[:]); {
+	case errors.Is(err, io.EOF):
+		return buf, nil
+	case err == nil:
+		return nil, errBodyLength
+	default:
+		return nil, err
+	}
 }
 
 func decodeJSON(r *http.Request, into any) error {

@@ -293,3 +293,52 @@ func TestContentLengthFromPlaintext(t *testing.T) {
 		t.Fatalf("HEAD returned %d body bytes", rec.Body.Len())
 	}
 }
+
+// TestHandlerPutBodyLength pins the PUT body read against its declared
+// Content-Length: an exact body is stored, a short or over-long one is a
+// 400 that stores nothing, and a declared length over the body cap is a
+// 413.
+func TestHandlerPutBodyLength(t *testing.T) {
+	f, _ := newOverloadFixture(t, func(cfg *Config) { cfg.MaxBodyBytes = 16 })
+	put := func(target, body string, declared int64) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPut, target, strings.NewReader(body))
+		req.ContentLength = declared
+		req.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{f.cert(t, "alice")}}
+		rec := httptest.NewRecorder()
+		f.server.handler().ServeHTTP(rec, req)
+		return rec
+	}
+	tests := []struct {
+		name     string
+		body     string
+		declared int64
+		want     int
+	}{
+		{name: "exact", body: "exact body", declared: 10, want: http.StatusCreated},
+		{name: "unknown length", body: "chunked", declared: -1, want: http.StatusCreated},
+		{name: "empty", body: "", declared: 0, want: http.StatusCreated},
+		{name: "short", body: "abc", declared: 10, want: http.StatusBadRequest},
+		{name: "over-long", body: "abcdefgh", declared: 3, want: http.StatusBadRequest},
+		{name: "over limit", body: strings.Repeat("x", 32), declared: 32, want: http.StatusRequestEntityTooLarge},
+		{name: "over limit past declared", body: strings.Repeat("x", 32), declared: 16, want: http.StatusRequestEntityTooLarge},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			target := "/fs/" + strings.ReplaceAll(tt.name, " ", "-")
+			if rec := put(target, tt.body, tt.declared); rec.Code != tt.want {
+				t.Fatalf("PUT = %d, want %d (body: %s)", rec.Code, tt.want, rec.Body)
+			}
+			get := f.do(t, "alice", http.MethodGet, target, nil, nil)
+			if tt.want != http.StatusCreated {
+				if get.Code != http.StatusNotFound {
+					t.Fatalf("GET after rejected PUT = %d, want 404", get.Code)
+				}
+				return
+			}
+			if get.Code != http.StatusOK || get.Body.String() != tt.body {
+				t.Fatalf("GET = %d %q, want 200 %q", get.Code, get.Body, tt.body)
+			}
+		})
+	}
+}

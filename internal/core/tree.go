@@ -274,13 +274,23 @@ func (fm *fileManager) guardCheck(ns *namespace, hdr *rollback.Header) error {
 // fault-injection harness: every node of both namespaces is loaded,
 // decoded, and — with rollback protection on — validated against the
 // hash tree and root guards; every directory entry must resolve and
-// every dedup indirection must reach its content. With rollback off it
-// degrades to a structural check that still catches dangling entries
-// and undecodable bodies.
+// every dedup indirection must reach its content, and no orphaned
+// staging object may remain. With rollback off it degrades to a
+// structural check that still catches dangling entries and undecodable
+// bodies.
 func (fm *fileManager) validateAll() error {
 	for _, ns := range []*namespace{fm.content, fm.group} {
 		if err := fm.validateSubtree(ns, ns.rootName); err != nil {
 			return err
+		}
+		// Outside an operation no intent references a staging object, so
+		// any that remains is an orphan recovery has not swept yet.
+		orphans, err := fm.stagedNames(ns)
+		if err != nil {
+			return err
+		}
+		if len(orphans) > 0 {
+			return fmt.Errorf("%w: %d orphaned staging objects in the %s store", ErrIntegrity, len(orphans), ns.kind)
 		}
 	}
 	return nil

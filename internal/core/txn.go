@@ -1,13 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"segshare/internal/audit"
 	"segshare/internal/journal"
+	"segshare/internal/pfs"
 	"segshare/internal/rollback"
+	"segshare/internal/store"
 )
 
 // This file makes every logical operation atomic-on-recovery. A mutation
@@ -21,10 +27,25 @@ import (
 // runs — writes go straight through as before, only the compensation
 // hooks (dedup refcounts) keep their ordering guarantees.
 
+// byRefThreshold is the plaintext size (encoded rollback header plus
+// body) from which a staged put is journaled by reference: its body is
+// sealed once into a staging object before the intent commits, and the
+// intent records only the staging name, sealed length and pfs footer.
+// Smaller writes (directory, ACL and group files, small content) stay
+// inline in the record, where one sealed journal object beats an extra
+// store round-trip.
+const byRefThreshold = 256 << 10
+
+// stagePrefix is the reserved name prefix of staging objects. It cannot
+// collide with logical names (which start with "/" or a group-store
+// name) nor with hidden storage names (hex).
+const stagePrefix = "!stage:"
+
 // stagedPut is one buffered blob write. Header and body are kept as
-// plaintext (the encoded rollback header and the logical body); the
-// per-file encryption happens at apply time, so a recovery replay
-// produces a fresh valid ciphertext.
+// plaintext (the encoded rollback header and the logical body). An
+// inline write is encrypted at apply time, so a recovery replay produces
+// a fresh valid ciphertext; a by-reference write is sealed into its
+// staging object just before the commit (sealLarge).
 type stagedPut struct {
 	ns     *namespace
 	name   string
@@ -34,6 +55,18 @@ type stagedPut struct {
 	// the token it yields) is deferred to apply time, so an aborted
 	// operation never advances the guard past the stored root.
 	needsToken bool
+
+	// stage, sealedLen and footer describe the sealed staging object of a
+	// by-reference write; stage is empty for inline writes.
+	stage     string
+	sealedLen int64
+	footer    []byte
+}
+
+// byRef reports whether the put is journaled by reference. Root writes
+// stay inline: their guard token is only assigned at apply time.
+func (sp *stagedPut) byRef() bool {
+	return !sp.needsToken && len(sp.hdrEnc)+len(sp.body) >= byRefThreshold
 }
 
 type stagedDel struct {
@@ -61,6 +94,7 @@ type opCtx struct {
 	onAbort  []func()
 }
 
+// stagePut buffers one write. It takes ownership of body (see putBlob).
 func (tx *opCtx) stagePut(ns *namespace, name string, hdr *rollback.Header, body []byte, needsToken bool) {
 	key := treeID(ns, name)
 	if _, ok := tx.dels[key]; ok {
@@ -78,7 +112,7 @@ func (tx *opCtx) stagePut(ns *namespace, name string, hdr *rollback.Header, body
 		ns:         ns,
 		name:       name,
 		hdrEnc:     hdrEnc,
-		body:       append([]byte(nil), body...),
+		body:       body,
 		needsToken: needsToken,
 	}
 }
@@ -117,13 +151,13 @@ func (tx *opCtx) records() ([]journal.Write, []journal.Delete) {
 		if !ok {
 			continue
 		}
-		writes = append(writes, journal.Write{
-			Store:      sp.ns.kind,
-			Name:       sp.name,
-			Header:     sp.hdrEnc,
-			Body:       sp.body,
-			NeedsToken: sp.needsToken,
-		})
+		w := journal.Write{Store: sp.ns.kind, Name: sp.name}
+		if sp.stage != "" {
+			w.Stage, w.SealedLen, w.Footer = sp.stage, sp.sealedLen, sp.footer
+		} else {
+			w.Header, w.Body, w.NeedsToken = sp.hdrEnc, sp.body, sp.needsToken
+		}
+		writes = append(writes, w)
 	}
 	var dels []journal.Delete
 	for _, key := range tx.delOrder {
@@ -233,17 +267,26 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		tx.runAbortHooks()
 		return err
 	}
+	// Large bodies are sealed and staged before the commit (sealing still
+	// observes the context); only staging objects exist until Commit
+	// returns, and abandoning them rolls back cleanly.
+	if err := fm.sealLarge(tx); err != nil {
+		fm.dropStaged(tx)
+		tx.runAbortHooks()
+		return err
+	}
 	writes, deletes := tx.records()
 	commitStart := time.Now()
 	seq, err := fm.journal.Commit(op, writes, deletes)
 	fm.rs.AddJournalCommit(time.Since(commitStart))
 	if err != nil {
 		// The intent never became durable: the operation rolls back (no
-		// backend object was touched yet).
+		// live backend object was touched yet).
+		fm.dropStaged(tx)
 		tx.runAbortHooks()
 		return err
 	}
-	if err := fm.applyIntent(writes, deletes); err != nil {
+	if err := fm.applyIntent(writes, deletes, false); err != nil {
 		// The intent IS durable: recovery will finish the operation, so
 		// commit hooks must not run yet and abort hooks must not run at
 		// all. Refuse further mutations until the replay succeeds.
@@ -260,6 +303,147 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 	return nil
 }
 
+// sealLarge seals every by-reference put under its final name's file
+// key and ID and stores the blob under a fresh, unpredictable staging
+// name in the namespace's own backend. The name is recorded before the
+// Put so dropStaged also covers a Put that failed after landing.
+func (fm *fileManager) sealLarge(tx *opCtx) error {
+	for _, key := range tx.order {
+		sp, ok := tx.puts[key]
+		if !ok || !sp.byRef() {
+			continue
+		}
+		plain := joinPlain(sp.hdrEnc, sp.body)
+		fkey, err := fm.fileKey(sp.ns, sp.name)
+		if err != nil {
+			return err
+		}
+		blob, err := pfs.EncryptWorkersCtx(fm.ctx, fkey, fm.fileID(sp.ns, sp.name), plain, fm.cryptoWorkers)
+		if err != nil {
+			if cerr := fm.ctxErr(); cerr != nil {
+				return cerr
+			}
+			return err
+		}
+		fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
+		var rnd [16]byte
+		if _, err := rand.Read(rnd[:]); err != nil {
+			return err
+		}
+		sp.stage = stagePrefix + hex.EncodeToString(rnd[:])
+		sp.sealedLen = int64(len(blob))
+		sp.footer = append([]byte(nil), pfs.Footer(blob)...)
+		fm.rs.AddStoreOps(1)
+		if err := sp.ns.backend.Put(sp.stage, blob); err != nil {
+			return fmt.Errorf("segshare: stage %q: %w", sp.name, err)
+		}
+	}
+	return nil
+}
+
+// dropStaged deletes the staging objects of an operation that will not
+// commit. It is best-effort: a staging object that cannot be deleted now
+// marks the journal dirty, so the recovery pass before the next mutation
+// sweeps it.
+func (fm *fileManager) dropStaged(tx *opCtx) {
+	for _, key := range tx.order {
+		sp, ok := tx.puts[key]
+		if !ok || sp.stage == "" {
+			continue
+		}
+		fm.rs.AddStoreOps(1)
+		if err := sp.ns.backend.Delete(sp.stage); err != nil && !errors.Is(err, store.ErrNotExist) {
+			fm.shared.journalDirty.Store(true)
+		}
+	}
+}
+
+// sweepStaged deletes every staging object in both namespaces. Recovery
+// runs it once all pending intents are applied: no intent references a
+// staging object any more, so whatever is left is a torn or abandoned
+// commit's leftover.
+func (fm *fileManager) sweepStaged() error {
+	for _, ns := range []*namespace{fm.content, fm.group} {
+		names, err := fm.stagedNames(ns)
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			if err := ns.backend.Delete(name); err != nil && !errors.Is(err, store.ErrNotExist) {
+				return fmt.Errorf("segshare: sweep staging object: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
+// stagedNames lists the staging objects in a namespace's backend.
+func (fm *fileManager) stagedNames(ns *namespace) ([]string, error) {
+	fm.rs.AddStoreOps(1)
+	all, err := ns.backend.List()
+	if err != nil {
+		return nil, fmt.Errorf("segshare: list %s store: %w", ns.kind, err)
+	}
+	var names []string
+	for _, name := range all {
+		if strings.HasPrefix(name, stagePrefix) {
+			names = append(names, name)
+		}
+	}
+	return names, nil
+}
+
+// promote moves a by-reference write's staging object onto its final
+// storage name. Live applies trust the object this process just staged.
+// A replay first checks the candidates against the record's sealed
+// length and footer (DESIGN §11): a present staging object must match
+// and is promoted; an absent one means the promotion already happened,
+// so the final object must match; anything else is an integrity
+// violation, never a silently accepted older version.
+func (fm *fileManager) promote(ns *namespace, w journal.Write, replay bool) error {
+	final := fm.storageName(ns, w.Name)
+	if replay {
+		fm.rs.AddStoreOps(1)
+		blob, err := ns.backend.Get(w.Stage)
+		if errors.Is(err, store.ErrNotExist) {
+			fm.rs.AddStoreOps(1)
+			blob, err = ns.backend.Get(final)
+			if errors.Is(err, store.ErrNotExist) {
+				return fmt.Errorf("%w: %s: staged body missing", ErrIntegrity, w.Name)
+			}
+			if err != nil {
+				return fmt.Errorf("segshare: load %q: %w", w.Name, err)
+			}
+			if !sealedMatches(w, blob) {
+				return fmt.Errorf("%w: %s: stored body does not match its intent", ErrIntegrity, w.Name)
+			}
+			fm.invalidateRel(ns, w.Name)
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("segshare: load staged %q: %w", w.Name, err)
+		}
+		if !sealedMatches(w, blob) {
+			return fmt.Errorf("%w: %s: staged body does not match its intent", ErrIntegrity, w.Name)
+		}
+	}
+	fm.rs.AddStoreOps(2)
+	if err := ns.backend.Delete(final); err != nil && !errors.Is(err, store.ErrNotExist) {
+		return fmt.Errorf("segshare: delete %q: %w", w.Name, err)
+	}
+	if err := ns.backend.Rename(w.Stage, final); err != nil {
+		return fmt.Errorf("segshare: promote %q: %w", w.Name, err)
+	}
+	fm.invalidateRel(ns, w.Name)
+	return nil
+}
+
+// sealedMatches reports whether blob is the exact ciphertext a
+// by-reference record pins.
+func sealedMatches(w journal.Write, blob []byte) bool {
+	return int64(len(blob)) == w.SealedLen && bytes.Equal(pfs.Footer(blob), w.Footer)
+}
+
 // nsByKind resolves a journal record's store kind.
 func (fm *fileManager) nsByKind(kind string) (*namespace, error) {
 	switch kind {
@@ -272,15 +456,23 @@ func (fm *fileManager) nsByKind(kind string) (*namespace, error) {
 }
 
 // applyIntent writes an intent's staged state to the backends: all
-// writes in order, then all deletes. Root writes flagged NeedsToken
-// commit the namespace guard and take its fresh token, which keeps a
-// recovery replay consistent with the guard state. Deletes tolerate
-// already-absent objects so replays are idempotent.
-func (fm *fileManager) applyIntent(writes []journal.Write, deletes []journal.Delete) error {
+// writes in order, then all deletes. By-reference writes are promoted
+// from their staging objects (replay marks a recovery pass, which checks
+// them first). Root writes flagged NeedsToken commit the namespace guard
+// and take its fresh token, which keeps a recovery replay consistent
+// with the guard state. Deletes tolerate already-absent objects so
+// replays are idempotent.
+func (fm *fileManager) applyIntent(writes []journal.Write, deletes []journal.Delete, replay bool) error {
 	for _, w := range writes {
 		ns, err := fm.nsByKind(w.Store)
 		if err != nil {
 			return err
+		}
+		if w.Stage != "" {
+			if err := fm.promote(ns, w, replay); err != nil {
+				return err
+			}
+			continue
 		}
 		var hdr *rollback.Header
 		if len(w.Header) > 0 {
@@ -341,13 +533,16 @@ func (fm *fileManager) recoverJournal(opts recoverOpts) error {
 		return err
 	}
 	for i, rec := range set.Pending {
-		if err := fm.applyIntent(rec.Writes, rec.Deletes); err != nil {
+		if err := fm.applyIntent(rec.Writes, rec.Deletes, true); err != nil {
 			return fmt.Errorf("segshare: replay journal intent %d: %w", rec.Seq, err)
 		}
 		if err := fm.journal.MarkApplied(rec.Seq); err != nil {
 			return err
 		}
 		fm.shared.recovery.progress(i + 1)
+	}
+	if err := fm.sweepStaged(); err != nil {
+		return err
 	}
 	fm.shared.journalDirty.Store(false)
 	if len(set.Pending) > 0 || set.Discarded > 0 {

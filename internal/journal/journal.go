@@ -10,7 +10,9 @@
 // consistent store to copy). The journal closes that window: the file
 // manager seals the full intent (every blob to write or delete) into one
 // journal object, commits it, applies the writes, and finally marks the
-// intent applied. Recovery re-applies any intent that committed but was
+// intent applied. Small writes travel inline in the record; large bodies
+// are sealed once into staging objects beforehand and the record only
+// references them (see Write). Recovery re-applies any intent that committed but was
 // not marked applied; an intent that never finished committing is
 // discarded, which rolls the operation back.
 //
@@ -79,9 +81,15 @@ func DeriveKeys(rootKey []byte) (Keys, error) {
 	return Keys{enc: k}, nil
 }
 
-// Write is one blob write inside an intent. Header and Body are the
-// plaintext parts of the logical file; the applier re-encrypts them under
-// the per-file key, so a replay produces a fresh valid ciphertext.
+// Write is one blob write inside an intent, recorded inline or by
+// reference. An inline write carries Header and Body, the plaintext parts
+// of the logical file; the applier encrypts them under the per-file key,
+// so a replay produces a fresh valid ciphertext. A by-reference write
+// (Stage set) carries no plaintext: the body was sealed once, before the
+// commit, into the staging object Stage in the namespace's own backend,
+// and the applier promotes that object onto the final name. SealedLen and
+// Footer pin the exact ciphertext, so recovery can tell the committed
+// blob from any other valid version of the file.
 type Write struct {
 	// Store names the namespace the write belongs to ("content"/"group").
 	Store string `json:"s"`
@@ -96,6 +104,12 @@ type Write struct {
 	// guard token must be assigned at apply time (a fresh guard commit per
 	// apply keeps replays valid).
 	NeedsToken bool `json:"t,omitempty"`
+	// Stage is the staging object name of a by-reference write.
+	Stage string `json:"r,omitempty"`
+	// SealedLen is the staged ciphertext's length in bytes.
+	SealedLen int64 `json:"l,omitempty"`
+	// Footer is the staged ciphertext's trailing pfs footer.
+	Footer []byte `json:"f,omitempty"`
 }
 
 // Delete is one blob deletion inside an intent. Deletions apply after all

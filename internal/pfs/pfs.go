@@ -142,6 +142,18 @@ func buildTree(leaves [][hashSize]byte) [][][hashSize]byte {
 	return levels
 }
 
+// Footer returns the trailing footer of an encoded blob: the MAC'd
+// record of its plaintext size, chunk count and Merkle root. Under one
+// file key, two blobs with equal length and footer carry the same
+// chunks, so the footer pins a blob without hashing it again. It returns
+// nil for a blob too short to hold one; the result aliases blob.
+func Footer(blob []byte) []byte {
+	if len(blob) < footerSize {
+		return nil
+	}
+	return blob[len(blob)-footerSize:]
+}
+
 type footer struct {
 	plainSize int64
 	numChunks int64

@@ -405,8 +405,12 @@ func (r *Resilient) dispatchCtx(ctx context.Context, op string, deadline time.Du
 	}
 	done := make(chan error, 1)
 	go func() {
-		defer func() { <-r.sem }()
-		done <- fn()
+		err := fn()
+		// Free the slot before publishing the result: a caller that moves
+		// on to its next operation must not find its own finished worker
+		// still holding the pool (a spurious ErrSaturated at Workers=1).
+		<-r.sem
+		done <- err
 	}()
 	var ctxDone <-chan struct{}
 	if ctx != nil {
