@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"segshare/internal/acl"
@@ -113,6 +114,13 @@ type fmShared struct {
 	// journalDirty forces a recovery pass before the next mutation: a
 	// committed intent failed mid-apply or could not be marked applied.
 	journalDirty atomic.Bool
+	// commitMu keeps journal recovery out of every mutation's commit
+	// window. A mutation holds it shared from staging its large bodies
+	// until its intent is marked applied; recoverJournal holds it
+	// exclusively. So a replay never races a live apply of the same intent
+	// (a by-reference promote is not idempotent), and the staging sweep
+	// never deletes an object that an in-flight commit still references.
+	commitMu sync.RWMutex
 	// recovery publishes journal-recovery progress for /readyz and the
 	// watchdog; may be nil.
 	recovery *RecoveryState

@@ -823,13 +823,18 @@ var errBodyLength = errors.New("body length does not match Content-Length")
 
 // readBody reads a PUT body. A declared Content-Length within the body
 // cap sizes one exact buffer (no growth copies on multi-MiB uploads); the
-// body must then end right there. Unknown lengths, and declared lengths
-// over the cap (which the MaxBytesReader rejects as it reads), fall back
-// to io.ReadAll.
+// body must then end right there. Unknown lengths, declared lengths over
+// the cap (which the MaxBytesReader rejects as it reads), and any length
+// when the cap is disabled fall back to io.ReadAll, which only grows as
+// bytes arrive: an unbounded declared length never sizes an allocation.
 func readBody(r *http.Request, maxBody int64) ([]byte, error) {
 	n := r.ContentLength
-	if n < 0 || (maxBody > 0 && n > maxBody) {
-		return io.ReadAll(r.Body)
+	if n < 0 || maxBody <= 0 || n > maxBody {
+		body, err := io.ReadAll(r.Body)
+		if err == nil && n >= 0 && int64(len(body)) != n {
+			return nil, errBodyLength
+		}
+		return body, err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.Body, buf); err != nil {

@@ -297,10 +297,12 @@ func TestContentLengthFromPlaintext(t *testing.T) {
 // TestHandlerPutBodyLength pins the PUT body read against its declared
 // Content-Length: an exact body is stored, a short or over-long one is a
 // 400 that stores nothing, and a declared length over the body cap is a
-// 413.
+// 413. With the cap disabled, a huge declared length is never allocated
+// up front: the short body behind it is a 400.
 func TestHandlerPutBodyLength(t *testing.T) {
-	f, _ := newOverloadFixture(t, func(cfg *Config) { cfg.MaxBodyBytes = 16 })
-	put := func(target, body string, declared int64) *httptest.ResponseRecorder {
+	capped, _ := newOverloadFixture(t, func(cfg *Config) { cfg.MaxBodyBytes = 16 })
+	uncapped, _ := newOverloadFixture(t, func(cfg *Config) { cfg.MaxBodyBytes = -1 })
+	put := func(f *handlerFixture, target, body string, declared int64) *httptest.ResponseRecorder {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodPut, target, strings.NewReader(body))
 		req.ContentLength = declared
@@ -311,6 +313,7 @@ func TestHandlerPutBodyLength(t *testing.T) {
 	}
 	tests := []struct {
 		name     string
+		uncapped bool
 		body     string
 		declared int64
 		want     int
@@ -322,11 +325,18 @@ func TestHandlerPutBodyLength(t *testing.T) {
 		{name: "over-long", body: "abcdefgh", declared: 3, want: http.StatusBadRequest},
 		{name: "over limit", body: strings.Repeat("x", 32), declared: 32, want: http.StatusRequestEntityTooLarge},
 		{name: "over limit past declared", body: strings.Repeat("x", 32), declared: 16, want: http.StatusRequestEntityTooLarge},
+		{name: "uncapped exact", uncapped: true, body: strings.Repeat("x", 32), declared: 32, want: http.StatusCreated},
+		{name: "uncapped huge declared", uncapped: true, body: "abc", declared: 1 << 62, want: http.StatusBadRequest},
+		{name: "uncapped over-long", uncapped: true, body: "abcdefgh", declared: 3, want: http.StatusBadRequest},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			f := capped
+			if tt.uncapped {
+				f = uncapped
+			}
 			target := "/fs/" + strings.ReplaceAll(tt.name, " ", "-")
-			if rec := put(target, tt.body, tt.declared); rec.Code != tt.want {
+			if rec := put(f, target, tt.body, tt.declared); rec.Code != tt.want {
 				t.Fatalf("PUT = %d, want %d (body: %s)", rec.Code, tt.want, rec.Body)
 			}
 			get := f.do(t, "alice", http.MethodGet, target, nil, nil)

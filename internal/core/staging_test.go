@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"segshare/internal/obs"
 	"segshare/internal/store"
 )
 
@@ -148,38 +151,6 @@ func TestStagedBodyTamperIsIntegrityError(t *testing.T) {
 	}
 }
 
-// TestTornCommitStagingSwept kills the process at the journal commit of
-// a by-reference put: the staging object is left behind (its cleanup is
-// killed too), and recovery must sweep it so fsck comes back clean.
-func TestTornCommitStagingSwept(t *testing.T) {
-	fx := newCrashFixture(t, fmOptions{rollback: true, guard: GuardCounter, hidePaths: true}, true)
-	seedCorpus(t, fx)
-	// Mutations: 1 staging Put, 2 journal Put.
-	fx.plan.KillAtOp(2, errInjected)
-	if _, err := fx.ac.PutFile("alice", fx.path("/docs/big.bin"), crashLargeV1); err == nil {
-		t.Fatal("put survived the kill")
-	}
-	fx.plan.Revive()
-	if staged := stagedObjects(t, fx.content); len(staged) != 1 {
-		t.Fatalf("want one leftover staging object, got %v", staged)
-	}
-	if err := fx.fm.validateAll(); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("fsck before recovery: %v, want the orphan reported", err)
-	}
-	if err := fx.restart(); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	if staged := stagedObjects(t, fx.content); len(staged) != 0 {
-		t.Fatalf("recovery left staging objects: %v", staged)
-	}
-	if err := fx.fm.validateAll(); err != nil {
-		t.Fatalf("fsck after recovery: %v", err)
-	}
-	if ok, _ := fileState(t, fx, "/docs/big.bin"); ok {
-		t.Fatal("torn commit's file exists")
-	}
-}
-
 // TestFailedCommitDropsStaging fails the journal commit of a
 // by-reference put once: the operation rolls back and deletes its
 // staging object itself, with no restart in between.
@@ -218,5 +189,72 @@ func TestFsckReportsOrphanedStaging(t *testing.T) {
 		if err := f.server.Fsck(); err != nil {
 			t.Fatalf("Fsck after removal: %v", err)
 		}
+	}
+}
+
+// gatedStore parks the first staging Put after it lands, until release
+// is closed.
+type gatedStore struct {
+	store.Backend
+	once    sync.Once
+	landed  chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedStore) Put(name string, data []byte) error {
+	err := g.Backend.Put(name, data)
+	if err == nil && strings.HasPrefix(name, stagePrefix) {
+		g.once.Do(func() {
+			close(g.landed)
+			<-g.release
+		})
+	}
+	return err
+}
+
+// TestRecoveryWaitsForCommitWindow triggers a recovery pass while another
+// mutation sits between staging its large body and committing the intent.
+// The two run concurrently on separate views, bypassing the request lock
+// plan: recovery must neither sweep the in-flight staging object nor
+// replay the in-flight intent, so both operations succeed.
+func TestRecoveryWaitsForCommitWindow(t *testing.T) {
+	fx := newCrashFixture(t, fmOptions{}, true)
+	seedCorpus(t, fx)
+	gate := &gatedStore{Backend: fx.content, landed: make(chan struct{}), release: make(chan struct{})}
+	fx.content = gate
+	if err := fx.boot(); err != nil {
+		t.Fatal(err)
+	}
+
+	large := make(chan error, 1)
+	go func() {
+		_, err := fx.ac.withStats(&obs.ReqStats{}).PutFile("alice", fx.path("/docs/big.bin"), crashLargeV1)
+		large <- err
+	}()
+	<-gate.landed
+	fx.fm.shared.journalDirty.Store(true)
+	small := make(chan error, 1)
+	go func() {
+		_, err := fx.ac.withStats(&obs.ReqStats{}).PutFile("alice", fx.path("/docs/sub/d.txt"), crashContentC)
+		small <- err
+	}()
+	// Give the recovering mutation time to reach the sweep if nothing
+	// holds it back.
+	time.Sleep(50 * time.Millisecond)
+	close(gate.release)
+	if err := <-large; err != nil {
+		t.Fatalf("large put: %v", err)
+	}
+	if err := <-small; err != nil {
+		t.Fatalf("put that ran recovery: %v", err)
+	}
+	if ok, data := fileState(t, fx, "/docs/big.bin"); !ok || !bytes.Equal(data, crashLargeV1) {
+		t.Fatalf("large put lost (exists=%v)", ok)
+	}
+	if left := stagedObjects(t, fx.content); len(left) != 0 {
+		t.Fatalf("staging objects survived: %v", left)
+	}
+	if err := fx.fm.validateAll(); err != nil {
+		t.Fatalf("fsck: %v", err)
 	}
 }

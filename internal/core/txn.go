@@ -75,8 +75,10 @@ type stagedDel struct {
 }
 
 // opCtx is one in-flight logical operation: the staged write/delete set
-// plus compensation hooks. Exactly one opCtx exists at a time — the lock
-// manager serializes mutations whenever staging is on (coupled mode).
+// plus compensation hooks. The lock manager serializes mutations whenever
+// staging is on (coupled mode); recovery additionally waits out every
+// commit window on its own (fmShared.commitMu), so its safety does not
+// rest on the request lock plan.
 type opCtx struct {
 	op      string
 	staging bool
@@ -267,6 +269,10 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		tx.runAbortHooks()
 		return err
 	}
+	// From here until the intent is marked applied, recovery must not run
+	// (see fmShared.commitMu).
+	fm.shared.commitMu.RLock()
+	defer fm.shared.commitMu.RUnlock()
 	// Large bodies are sealed and staged before the commit (sealing still
 	// observes the context); only staging objects exist until Commit
 	// returns, and abandoning them rolls back cleanly.
@@ -526,6 +532,11 @@ func (fm *fileManager) recoverJournal(opts recoverOpts) error {
 	if fm.journal == nil {
 		return nil
 	}
+	// Exclusive: no mutation is between staging and MarkApplied, so every
+	// pending intent is one no live request will apply, and every staging
+	// object no pending intent references is a leftover.
+	fm.shared.commitMu.Lock()
+	defer fm.shared.commitMu.Unlock()
 	fm.shared.recovery.begin()
 	defer fm.shared.recovery.finish()
 	set, err := fm.journal.Recover(opts.strict)
